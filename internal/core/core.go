@@ -16,7 +16,6 @@ import (
 	"retrasyn/internal/mobility"
 	"retrasyn/internal/obs"
 	"retrasyn/internal/pipeline"
-	"retrasyn/internal/relayout"
 	"retrasyn/internal/spatial"
 	"retrasyn/internal/synthesis"
 	"retrasyn/internal/trajectory"
@@ -169,21 +168,16 @@ type RunStats = pipeline.RunStats
 // under a pipeline.Coordinator for parallel streams.
 type Engine struct {
 	opts Options
-	// space is the discretization currently in effect; it starts as
-	// opts.Space and advances on Relayout. generation counts the layout
-	// migrations applied so far (0 = the boot layout).
-	space      spatial.Discretizer
+	// live is the layout-dependent state; its space starts as opts.Space
+	// and advances on Relayout. generation counts the layout migrations
+	// applied so far (0 = the boot layout).
+	live       Live
 	generation int
 	bootFP     ConfigFingerprint
-	dom        *transition.Domain
-	model      *mobility.Model
-	synth      *synthesis.Synthesizer
 	rng        *ldp.Source
 	pipe       pipeline.Pipeline
-	updater    *pipeline.DMUUpdater
 
 	budgetWin *allocation.BudgetWindow
-	dev       *allocation.DevTracker
 	sig       *allocation.SigTracker
 	users     *UserTracker
 	ledger    *allocation.Ledger
@@ -196,15 +190,6 @@ type Engine struct {
 	metrics *pipeline.Metrics
 	meter   *allocation.Meter
 
-	// lastEstimates/lastSigRatio retain the most recent reported round's DP
-	// estimate vector (domain-indexed, shared with the dev tracker) and
-	// significance ratio for the utility monitor. Run-scoped, never
-	// checkpointed, and dropped on relayout — the vector indexes the old
-	// domain.
-	lastEstimates []float64
-	lastSigRatio  float64
-	lastRoundT    int
-
 	// scratch buffer reused across timestamps
 	sampleBuf []trajectory.Event
 }
@@ -214,12 +199,6 @@ type Engine struct {
 func New(opts Options) (*Engine, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
-	}
-	var dom *transition.Domain
-	if opts.DisableEQ {
-		dom = transition.NewMoveOnlyDomain(opts.Space)
-	} else {
-		dom = transition.NewDomain(opts.Space)
 	}
 	rng := ldp.NewSource(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)
 	synth, err := synthesis.New(opts.Space, synthesis.Options{
@@ -231,37 +210,22 @@ func New(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := mobility.NewModel(dom)
 	e := &Engine{
 		opts:  opts,
-		space: opts.Space,
-		dom:   dom,
-		model: model,
-		synth: synth,
+		live:  NewLive(opts.Space, synth, opts.Kappa, opts.DisableEQ, opts.DisableDMU),
 		rng:   rng,
-		dev:   allocation.NewDevTracker(opts.Kappa),
 		sig:   allocation.NewSigTracker(opts.Kappa),
 		lastT: -1,
 	}
 	e.bootFP = e.configFingerprint()
 	e.metrics = pipeline.NewMetrics(opts.Metrics, opts.MetricsShard)
 	e.meter = allocation.NewMeter(opts.Metrics, opts.W)
-	e.updater = &pipeline.DMUUpdater{Model: model, DisableDMU: opts.DisableDMU}
-	e.pipe = pipeline.Pipeline{
-		Collector:   newCollector(opts, dom, rng),
-		Estimator:   &pipeline.DebiasEstimator{Post: opts.PostProcess},
-		Updater:     e.updater,
-		Synthesizer: &pipeline.SynthesisStage{Model: model, Synth: synth, WaitForUsers: opts.DisableEQ},
-	}
+	e.rewire()
 	if opts.Division == allocation.Budget {
 		e.budgetWin = allocation.NewBudgetWindow(opts.W)
 	} else {
 		e.users = NewUserTracker(opts.W)
 	}
-	// Seed the deviation history with the pre-collection all-zero vector, so
-	// the first collected estimate registers as drift (Dev ≈ ‖f̂‖₁) instead of
-	// deadlocking the adaptive strategy at Dev = 0.
-	e.dev.Push(make([]float64, dom.Size()))
 	return e, nil
 }
 
@@ -280,139 +244,59 @@ func newCollector(opts Options, dom *transition.Domain, rng pipeline.Rand) pipel
 }
 
 // Domain exposes the engine's transition domain (for tests and tooling).
-func (e *Engine) Domain() *transition.Domain { return e.dom }
+func (e *Engine) Domain() *transition.Domain { return e.live.Dom }
 
 // Space returns the spatial discretization currently in effect (the boot
 // layout until the first Relayout).
-func (e *Engine) Space() spatial.Discretizer { return e.space }
+func (e *Engine) Space() spatial.Discretizer { return e.live.Space }
 
 // Generation returns how many layout migrations the engine has applied.
 func (e *Engine) Generation() int { return e.generation }
 
-// ReleasedPositions appends the continuous positions of the live synthetic
-// streams at the current timestamp to buf and returns it. These are points
-// of the *released* stream — the privacy-free input online re-discretization
-// sketches density from. A released cell only says "somewhere in this box",
-// so each point is spread over its cell's box by a deterministic
-// low-discrepancy sequence (never the engine RNG — observation must not
-// perturb the release stream): collapsing whole coarse cells onto their
-// center would make re-discretization split forever around single points and
-// hide density spread inside coarse regions. Falls back to cell centers for
-// non-boxed backends.
-func (e *Engine) ReleasedPositions(buf []spatial.Point) []spatial.Point {
-	boxed, _ := e.space.(spatial.Boxed)
-	poly, _ := e.space.(spatial.Overlapper)
-	for _, c := range e.synth.ActiveCells(nil) {
-		// Index the spread sequence by the position in buf, not the
-		// per-engine stream index: a sharded framework accumulates all
-		// shards into one buffer, and restarting the sequence per shard
-		// would collapse same-index streams of one cell onto identical
-		// points across shards.
-		switch {
-		case boxed != nil:
-			buf = append(buf, relayout.SpreadInBox(boxed.CellBox(c), len(buf)))
-		case poly != nil:
-			// Polygonal cells spread inside their polygon, not its bounding
-			// box, so geofenced releases never sketch density into gap space
-			// the fence deliberately excludes.
-			buf = append(buf, relayout.SpreadInPieces(poly.CellPieces(c), len(buf)))
-		default:
-			x, y := e.space.Center(c)
-			buf = append(buf, spatial.Point{X: x, Y: y})
-		}
-	}
-	return buf
+// ReleasedCells appends the cells of the live synthetic streams at the
+// current timestamp to buf and returns it — the released stream the
+// adaptation loop sketches density from.
+func (e *Engine) ReleasedCells(buf []spatial.Cell) []spatial.Cell {
+	return e.live.Synth().ActiveCells(buf)
 }
 
 // Relayout migrates the live engine onto a new spatial discretization
 // between two timestamps (the engine must be quiescent, exactly as for
-// Snapshot). Both the current and the new discretizer must expose their cell
-// boxes (spatial.Boxed). The migration resamples all layout-dependent state
-// through the cell-overlap area weights:
-//
-//   - the mobility model's transition/enter/quit mass is pushed through the
-//     overlap matrix (mass-conserving; see relayout.Migration.RemapFreqs);
-//   - the adaptive strategy's deviation history is re-indexed the same way,
-//     so the drift signal survives;
-//   - the synthesizer's in-flight (and completed) trajectories are remapped
-//     to the max-overlap new cell;
-//   - the transition domain, collector and DMU stage are rebuilt over the
-//     new layout, preserving the bootstrap flag.
-//
-// The RNG position, allocation window accounting, user lifecycle and privacy
-// ledger are layout-free and carry over untouched. Migrating onto a
-// layout-identical discretizer is an exact no-op for the release stream
-// (pinned by the golden relayout tests).
+// Snapshot). Both the current and the new discretizer must expose their
+// cell geometry. The layout-dependent state — mobility model, deviation
+// history, synthesizer streams, domain and stages — is resampled through
+// the cell-overlap area weights (see Live.Migrate), and the collector is
+// rebuilt over the new domain. The RNG position, allocation window
+// accounting, user lifecycle and privacy ledger are layout-free and carry
+// over untouched. Migrating onto a layout-identical discretizer is an exact
+// no-op for the release stream (pinned by the golden relayout tests).
 func (e *Engine) Relayout(sp spatial.Discretizer) error {
 	if sp == nil {
 		return fmt.Errorf("core: Relayout with a nil discretizer")
 	}
-	mig, err := relayout.NewMigration(e.space, sp)
-	if err != nil {
+	if err := e.live.Migrate(sp); err != nil {
 		return fmt.Errorf("core: relayout: %w", err)
 	}
-	var newDom *transition.Domain
-	if e.opts.DisableEQ {
-		newDom = transition.NewMoveOnlyDomain(sp)
-	} else {
-		newDom = transition.NewDomain(sp)
-	}
-	newFreq, err := mig.RemapFreqs(e.dom, newDom, e.model.Freqs())
-	if err != nil {
-		return fmt.Errorf("core: relayout: %w", err)
-	}
-	devSt, err := mig.RemapDevState(e.dom, newDom, e.dev.State())
-	if err != nil {
-		return fmt.Errorf("core: relayout: %w", err)
-	}
-	newModel := mobility.NewModel(newDom)
-	if err := newModel.Restore(mobility.State{Freq: newFreq, Init: e.model.Initialized()}); err != nil {
-		return fmt.Errorf("core: relayout: %w", err)
-	}
-	e.dev.Restore(devSt)
-	e.synth.Relayout(sp, mig.MapCell)
-	e.rewire(sp, newDom, newModel, e.updater.Bootstrapped())
+	e.rewire()
 	e.generation++
 	e.stats.Relayouts++
 	return nil
 }
 
-// rewire points the engine's layout-dependent plumbing — domain, model,
-// collector, DMU and synthesis stages — at a new discretization. Used by
-// Relayout (after migrating state) and by checkpoint restore (before
-// loading state vectors sized to the snapshot's layout).
-func (e *Engine) rewire(sp spatial.Discretizer, dom *transition.Domain, model *mobility.Model, bootstrapped bool) {
-	e.space = sp
-	e.dom = dom
-	e.model = model
-	e.lastEstimates = nil // indexed by the old domain; see LastReportedRound
-	e.updater = &pipeline.DMUUpdater{Model: model, DisableDMU: e.opts.DisableDMU}
-	e.updater.SetBootstrapped(bootstrapped)
+// rewire points the pipeline at the live layout-dependent state: the
+// collector over the current domain and the live DMU and synthesis stages.
+// Used at construction, after Relayout and after checkpoint restore.
+func (e *Engine) rewire() {
 	e.pipe = pipeline.Pipeline{
-		Collector:   newCollector(e.opts, dom, e.rng),
+		Collector:   newCollector(e.opts, e.live.Dom, e.rng),
 		Estimator:   &pipeline.DebiasEstimator{Post: e.opts.PostProcess},
-		Updater:     e.updater,
-		Synthesizer: &pipeline.SynthesisStage{Model: model, Synth: e.synth, WaitForUsers: e.opts.DisableEQ},
+		Updater:     e.live.Updater,
+		Synthesizer: e.live.Stage,
 	}
-}
-
-// adoptSpace rebuilds the engine's layout-dependent state over sp without
-// migrating anything — the checkpoint-restore path, where the snapshot's
-// state vectors (already sized to sp's domain) are loaded right after.
-func (e *Engine) adoptSpace(sp spatial.Discretizer, generation int) {
-	var dom *transition.Domain
-	if e.opts.DisableEQ {
-		dom = transition.NewMoveOnlyDomain(sp)
-	} else {
-		dom = transition.NewDomain(sp)
-	}
-	e.synth.Relayout(sp, nil)
-	e.rewire(sp, dom, mobility.NewModel(dom), false)
-	e.generation = generation
 }
 
 // Model exposes the global mobility model.
-func (e *Engine) Model() *mobility.Model { return e.model }
+func (e *Engine) Model() *mobility.Model { return e.live.Model }
 
 // Ledger returns the privacy ledger recorded so far (nil until Run or
 // EnableLedger).
@@ -439,7 +323,7 @@ func (e *Engine) Run(stream *trajectory.Stream, name string) (*trajectory.Datase
 
 // Synthetic returns the current released synthetic database.
 func (e *Engine) Synthetic(name string, T int) *trajectory.Dataset {
-	return e.synth.Dataset(name, T)
+	return e.live.Synth().Dataset(name, T)
 }
 
 // ProcessTimestamp ingests the events of timestamp t (one transition state
@@ -556,24 +440,10 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 	// frozen model on silent timestamps would decay Dev to zero and
 	// permanently silence the adaptive strategy after a starved round.)
 	if ctx.Result.Reported {
-		e.dev.Push(ctx.Estimates)
-		e.lastEstimates = ctx.Estimates
-		e.lastSigRatio = ctx.SigRatio
-		e.lastRoundT = t
+		e.live.Dev.Push(ctx.Estimates)
+		ctx.Result.Estimates, ctx.Result.SigRatio = ctx.Estimates, ctx.SigRatio
 	}
 	return ctx.Result, nil
-}
-
-// LastReportedRound returns the DP estimate vector (domain-indexed, shared —
-// treat as read-only), the significance ratio and the timestamp of the most
-// recent reported round. ok is false before the first reported round and
-// again right after a relayout, whose migration invalidates the retained
-// vector's indexing, until the next reported round refills it.
-func (e *Engine) LastReportedRound() (estimates []float64, sigRatio float64, t int, ok bool) {
-	if e.lastEstimates == nil {
-		return nil, 0, -1, false
-	}
-	return e.lastEstimates, e.lastSigRatio, e.lastRoundT, true
 }
 
 // eligible filters the timestamp's events down to sampleable ones: states
@@ -582,7 +452,7 @@ func (e *Engine) LastReportedRound() (estimates []float64, sigRatio float64, t i
 func (e *Engine) eligible(events []trajectory.Event) []trajectory.Event {
 	e.sampleBuf = e.sampleBuf[:0]
 	for _, ev := range events {
-		if _, ok := e.dom.Index(ev.State); !ok {
+		if _, ok := e.live.Dom.Index(ev.State); !ok {
 			continue
 		}
 		if e.users != nil && !e.users.IsActive(ev.User) {
@@ -601,14 +471,14 @@ func (e *Engine) decide(t, poolSize int) allocation.Decision {
 		T:            t,
 		W:            e.opts.W,
 		Epsilon:      e.opts.Epsilon,
-		Dev:          e.dev.Dev(),
+		Dev:          e.live.Dev.Dev(),
 		SigRatioMean: e.sig.Mean(),
 	}
 	if e.budgetWin != nil {
 		ctx.WindowUsed = e.budgetWin.Used()
 	}
 	d := e.opts.Strategy.Decide(ctx)
-	if !e.updater.Bootstrapped() && poolSize > 0 && !d.Report {
+	if !e.live.Updater.Bootstrapped() && poolSize > 0 && !d.Report {
 		if e.opts.Division == allocation.Budget {
 			return allocation.Decision{Report: true, Epsilon: e.opts.Epsilon / float64(e.opts.W)}
 		}

@@ -61,7 +61,7 @@ func (e *Engine) fingerprint() ConfigFingerprint { return e.bootFP }
 func (e *Engine) configFingerprint() ConfigFingerprint {
 	return ConfigFingerprint{
 		Discretizer:  e.opts.Space.Fingerprint(),
-		DomainSize:   e.dom.Size(),
+		DomainSize:   e.live.Dom.Size(),
 		Epsilon:      e.opts.Epsilon,
 		W:            e.opts.W,
 		Division:     int(e.opts.Division),
@@ -120,11 +120,11 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		LastT:        e.lastT,
 		Stats:        e.stats,
 		RNG:          rngState,
-		Model:        e.model.State(),
-		Bootstrapped: e.updater.Bootstrapped(),
-		Dev:          e.dev.State(),
+		Model:        e.live.Model.State(),
+		Bootstrapped: e.live.Updater.Bootstrapped(),
+		Dev:          e.live.Dev.State(),
 		Sig:          e.sig.State(),
-		Synth:        e.synth.State(),
+		Synth:        e.live.Synth().State(),
 		Ledger:       e.ledger.Clone(),
 	}
 	if e.budgetWin != nil {
@@ -136,12 +136,12 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		st.Users = &us
 	}
 	if e.generation > 0 {
-		l, err := relayout.LayoutOf(e.space)
+		l, err := relayout.LayoutOf(e.live.Space)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot layout: %w", err)
 		}
 		st.Layout = &l
-		st.LayoutFingerprint = e.space.Fingerprint()
+		st.LayoutFingerprint = e.live.Space.Fingerprint()
 	}
 	return st, nil
 }
@@ -178,31 +178,19 @@ func (e *Engine) Restore(st *EngineState) error {
 	// Put the engine on the layout the snapshot was taken at before loading
 	// the layout-sized state vectors: a migrated snapshot carries the layout
 	// it was running on, a generation-0 snapshot means the boot layout.
-	switch {
-	case st.Generation > 0:
-		if st.Layout == nil {
-			return fmt.Errorf("core: snapshot at layout generation %d carries no layout", st.Generation)
-		}
-		sp, err := relayout.FromLayout(*st.Layout)
-		if err != nil {
-			return fmt.Errorf("core: restore layout: %w", err)
-		}
-		if st.LayoutFingerprint != "" && sp.Fingerprint() != st.LayoutFingerprint {
-			return fmt.Errorf("core: restored layout fingerprint %s ≠ snapshot %s — corrupt checkpoint",
-				sp.Fingerprint(), st.LayoutFingerprint)
-		}
-		e.adoptSpace(sp, st.Generation)
-	case e.generation > 0:
-		e.adoptSpace(e.opts.Space, 0)
+	if err := e.live.Adopt(e.opts.Space, st.Generation, st.Layout, st.LayoutFingerprint); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
+	e.rewire()
+	e.generation = st.Generation
 	if err := e.rng.SetState(st.RNG); err != nil {
 		return fmt.Errorf("core: restore rng: %w", err)
 	}
-	if err := e.model.Restore(st.Model); err != nil {
+	if err := e.live.Model.Restore(st.Model); err != nil {
 		return err
 	}
-	e.updater.SetBootstrapped(st.Bootstrapped)
-	e.dev.Restore(st.Dev)
+	e.live.Updater.SetBootstrapped(st.Bootstrapped)
+	e.live.Dev.Restore(st.Dev)
 	e.sig.Restore(st.Sig)
 	if st.BudgetWindow != nil {
 		if err := e.budgetWin.Restore(*st.BudgetWindow); err != nil {
@@ -214,7 +202,7 @@ func (e *Engine) Restore(st *EngineState) error {
 			return err
 		}
 	}
-	e.synth.Restore(st.Synth)
+	e.live.Synth().Restore(st.Synth)
 	e.lastT = st.LastT
 	e.stats = st.Stats
 	e.ledger = st.Ledger.Clone()

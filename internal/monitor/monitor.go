@@ -22,9 +22,9 @@ var signalOrder = []string{SignalDivergence, SignalSigRatio, SignalErrors}
 
 // Options configures a Monitor.
 type Options struct {
-	// Window is the number of released timestamps the density sketch
-	// retains; the divergence compares this sliding window of the released
-	// stream against the current round's DP estimates. Must be ≥ 1.
+	// Window is the number of released timestamps each round reads from the
+	// release sketch; the divergence compares this sliding window of the
+	// released stream against the current round's DP estimates. Must be ≥ 1.
 	Window int
 	// Divergence, SigRatio and Errors tune the per-signal change-point
 	// detectors; zero fields take the detector defaults, except where noted.
@@ -47,15 +47,15 @@ type Options struct {
 // active alarms is what the relayout degradation trigger and /v1/health
 // consume.
 //
-// The released sketch stores continuous points, so it survives relayouts
-// unchanged — each round folds it onto the *current* discretization before
-// comparing. All methods are safe for concurrent use and nil-safe, so a nil
-// *Monitor is a valid "monitoring off" value.
+// The monitor keeps no copy of the released stream: each round reads its
+// window from the shared release sketch, whose continuous points survive
+// relayouts unchanged, and folds it onto the *current* discretization. All
+// methods are safe for concurrent use and nil-safe, so a nil *Monitor is a
+// valid "monitoring off" value.
 type Monitor struct {
-	mu      sync.Mutex
-	window  int
-	tracker *relayout.DensityTracker
-	det     map[string]*Detector
+	mu     sync.Mutex
+	window int
+	det    map[string]*Detector
 
 	rounds     int
 	lastErrors int64
@@ -67,7 +67,7 @@ type Monitor struct {
 	mAlarmsTotal   map[string]*obs.Counter
 }
 
-// New builds a Monitor with a sliding release sketch of opts.Window
+// New builds a Monitor that reads a sliding window of opts.Window released
 // timestamps.
 func New(opts Options) (*Monitor, error) {
 	if opts.Window < 1 {
@@ -91,8 +91,7 @@ func New(opts Options) (*Monitor, error) {
 		so.Warmup = 10
 	}
 	return &Monitor{
-		window:  opts.Window,
-		tracker: relayout.NewDensityTracker(opts.Window),
+		window: opts.Window,
 		det: map[string]*Detector{
 			SignalDivergence: NewDetector(opts.Divergence),
 			SignalSigRatio:   NewDetector(so),
@@ -102,7 +101,7 @@ func New(opts Options) (*Monitor, error) {
 	}, nil
 }
 
-// Window returns the sketch capacity in timestamps.
+// Window returns the window length in timestamps.
 func (m *Monitor) Window() int {
 	if m == nil {
 		return 0
@@ -128,17 +127,6 @@ func (m *Monitor) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// ObserveRelease feeds the released positions of timestamp t into the
-// sliding sketch. Call once per timestamp, after synthesis.
-func (m *Monitor) ObserveRelease(t int, pts []spatial.Point) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tracker.Observe(t, pts)
-}
-
 // RoundReport is the per-round monitor outcome, destined for the trace
 // stream.
 type RoundReport struct {
@@ -156,11 +144,15 @@ type RoundReport struct {
 	Raised []string
 }
 
-// Round closes timestamp t: it folds the release sketch onto space, compares
-// it against cellEst (per-cell DP-estimated mass, len == space.NumCells();
-// nil on unreported rounds), and steps every detector. totalErrors is the
-// cumulative round-error count — the monitor differences it internally.
-func (m *Monitor) Round(t int, space spatial.Discretizer, cellEst []float64, sigRatio float64, totalErrors int64) RoundReport {
+// Round closes timestamp t: it folds the releases of the Window timestamps
+// before t, [t−Window, t−1], from the sketch onto space, compares them
+// against cellEst (per-cell DP-estimated mass, len == space.NumCells(); nil
+// on unreported rounds), and steps every detector. Round t's own release is
+// left out: the synthesizer adapts to the estimates within the round, so
+// including it would dilute a regime change with the already-adapted
+// stream. totalErrors is the cumulative round-error count — the monitor
+// differences it internally.
+func (m *Monitor) Round(t int, space spatial.Discretizer, sketch *relayout.DensityTracker, cellEst []float64, sigRatio float64, totalErrors int64) RoundReport {
 	if m == nil {
 		return RoundReport{}
 	}
@@ -170,8 +162,11 @@ func (m *Monitor) Round(t int, space spatial.Discretizer, cellEst []float64, sig
 
 	var rep RoundReport
 	reported := space != nil && len(cellEst) == space.NumCells() && space.NumCells() > 0
-	if reported && m.tracker.Len() > 0 {
-		released := foldPoints(space, m.tracker.Points())
+	var released []float64
+	if reported {
+		released = m.fold(space, sketch, t)
+	}
+	if released != nil {
 		rep.L1, rep.JS = divergence(released, denoise(cellEst))
 		rep.Computed = true
 		m.l1, m.js = rep.L1, rep.JS
@@ -258,14 +253,19 @@ func (m *Monitor) Alarming() bool {
 	return false
 }
 
-// foldPoints histograms continuous points onto the discretization.
-func foldPoints(space spatial.Discretizer, pts []spatial.Point) []float64 {
+// fold histograms the sketch's points of [t−window, t−1] onto the
+// discretization; nil when the window holds no points.
+func (m *Monitor) fold(space spatial.Discretizer, sketch *relayout.DensityTracker, t int) []float64 {
 	out := make([]float64, space.NumCells())
-	for _, p := range pts {
-		c := space.CellOf(p.X, p.Y)
-		if c >= 0 && int(c) < len(out) {
+	n := 0
+	sketch.Each(t-m.window, t-1, func(p spatial.Point) {
+		n++
+		if c := space.CellOf(p.X, p.Y); c >= 0 && int(c) < len(out) {
 			out[int(c)]++
 		}
+	})
+	if n == 0 {
+		return nil
 	}
 	return out
 }

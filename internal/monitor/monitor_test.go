@@ -8,6 +8,7 @@ import (
 	"retrasyn/internal/grid"
 	"retrasyn/internal/metrics"
 	"retrasyn/internal/obs"
+	"retrasyn/internal/relayout"
 	"retrasyn/internal/spatial"
 	"retrasyn/internal/transition"
 )
@@ -118,8 +119,9 @@ func TestMonitorDivergenceZeroWhenAligned(t *testing.T) {
 	}
 	// Released points all in cell 0; estimates all mass on cell 0 → zero
 	// divergence. Mass scaling must not matter.
-	m.ObserveRelease(0, []spatial.Point{{X: 0.5, Y: 0.5}, {X: 0.2, Y: 0.2}})
-	rep := m.Round(0, g, []float64{100, 0, 0, 0}, 0.5, 0)
+	sk := relayout.NewDensityTracker(4)
+	sk.Observe(0, []spatial.Point{{X: 0.5, Y: 0.5}, {X: 0.2, Y: 0.2}})
+	rep := m.Round(1, g, sk, []float64{100, 0, 0, 0}, 0.5, 0)
 	if !rep.Computed {
 		t.Fatal("divergence not computed")
 	}
@@ -127,7 +129,7 @@ func TestMonitorDivergenceZeroWhenAligned(t *testing.T) {
 		t.Fatalf("aligned distributions diverge: l1=%v js=%v", rep.L1, rep.JS)
 	}
 	// Disjoint support → maximal divergence.
-	rep = m.Round(1, g, []float64{0, 0, 0, 10}, 0.5, 0)
+	rep = m.Round(2, g, sk, []float64{0, 0, 0, 10}, 0.5, 0)
 	if math.Abs(rep.L1-2) > 1e-12 || math.Abs(rep.JS-metrics.Ln2) > 1e-12 {
 		t.Fatalf("disjoint distributions: l1=%v js=%v, want 2 and ln2", rep.L1, rep.JS)
 	}
@@ -136,8 +138,9 @@ func TestMonitorDivergenceZeroWhenAligned(t *testing.T) {
 func TestMonitorUnreportedRoundSkipsDivergence(t *testing.T) {
 	g, _ := grid.New(2, grid.Bounds{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2})
 	m, _ := New(Options{Window: 4})
-	m.ObserveRelease(0, []spatial.Point{{X: 0.5, Y: 0.5}})
-	rep := m.Round(0, g, nil, 0, 0)
+	sk := relayout.NewDensityTracker(4)
+	sk.Observe(0, []spatial.Point{{X: 0.5, Y: 0.5}})
+	rep := m.Round(1, g, sk, nil, 0, 0)
 	if rep.Computed {
 		t.Fatal("divergence computed on an unreported round")
 	}
@@ -159,13 +162,14 @@ func TestMonitorHealthStatuses(t *testing.T) {
 	}
 	// Warm up with aligned rounds, then poison: released stays in cell 0
 	// while estimates jump to cell 3 → divergence alarm → failing.
+	sk := relayout.NewDensityTracker(4)
 	for i := 0; i < 6; i++ {
-		m.ObserveRelease(i, []spatial.Point{{X: 0.5, Y: 0.5}})
-		m.Round(i, g, []float64{10, 0, 0, 0}, 0.2, 0)
+		m.Round(i, g, sk, []float64{10, 0, 0, 0}, 0.2, 0)
+		sk.Observe(i, []spatial.Point{{X: 0.5, Y: 0.5}})
 	}
 	for i := 6; i < 12; i++ {
-		m.ObserveRelease(i, []spatial.Point{{X: 0.5, Y: 0.5}})
-		m.Round(i, g, []float64{0, 0, 0, 10}, 0.2, 0)
+		m.Round(i, g, sk, []float64{0, 0, 0, 10}, 0.2, 0)
+		sk.Observe(i, []spatial.Point{{X: 0.5, Y: 0.5}})
 	}
 	h := m.Health()
 	if !m.Alarming() {
@@ -185,8 +189,9 @@ func TestMonitorMetricsRegistered(t *testing.T) {
 	m, _ := New(Options{Window: 4})
 	reg := obs.NewRegistry()
 	m.SetMetrics(reg)
-	m.ObserveRelease(0, []spatial.Point{{X: 0.5, Y: 0.5}})
-	m.Round(0, g, []float64{0, 10, 0, 0}, 0.3, 0)
+	sk := relayout.NewDensityTracker(4)
+	sk.Observe(0, []spatial.Point{{X: 0.5, Y: 0.5}})
+	m.Round(1, g, sk, []float64{0, 10, 0, 0}, 0.3, 0)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -209,9 +214,8 @@ func TestMonitorMetricsRegistered(t *testing.T) {
 
 func TestMonitorNilSafe(t *testing.T) {
 	var m *Monitor
-	m.ObserveRelease(0, nil)
 	m.SetMetrics(obs.NewRegistry())
-	if rep := m.Round(0, nil, nil, 0, 0); rep.Computed {
+	if rep := m.Round(0, nil, nil, nil, 0, 0); rep.Computed {
 		t.Fatal("nil monitor computed a divergence")
 	}
 	if m.Alarming() {
@@ -219,5 +223,28 @@ func TestMonitorNilSafe(t *testing.T) {
 	}
 	if m.Window() != 0 {
 		t.Fatal("nil monitor window")
+	}
+}
+
+// TestMonitorReadsWindowBeforeRound pins the window a round reads from the
+// shared sketch: the releases of the Window timestamps before t, never
+// round t's own release nor anything older, however much more the sketch
+// retains for other readers.
+func TestMonitorReadsWindowBeforeRound(t *testing.T) {
+	g, _ := grid.New(2, grid.Bounds{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2})
+	m, _ := New(Options{Window: 2})
+	sk := relayout.NewDensityTracker(10)
+	cell0, cell3 := []spatial.Point{{X: 0.5, Y: 0.5}}, []spatial.Point{{X: 1.5, Y: 1.5}}
+	sk.Observe(0, cell0) // outside round 3's window
+	sk.Observe(1, cell3)
+	sk.Observe(2, cell3)
+	sk.Observe(3, cell0) // round 3's own release
+	if rep := m.Round(3, g, sk, []float64{0, 0, 0, 5}, 0.5, 0); !rep.Computed || rep.L1 != 0 {
+		t.Fatalf("round 3 read outside [1, 2]: %+v", rep)
+	}
+	// A gap: timestamps 4..6 never released, so round 7's window [5, 6]
+	// is empty and no divergence is computed.
+	if rep := m.Round(7, g, sk, []float64{0, 0, 0, 5}, 0.5, 0); rep.Computed {
+		t.Fatalf("round 7 read releases older than its window: %+v", rep)
 	}
 }

@@ -42,6 +42,10 @@ type StepResult struct {
 	Epsilon        float64 // per-user budget spent by reporters
 	NumSignificant int     // |S*| of the DMU selection (domain size at init)
 	Packed         bool    // collection round used the bit-packed representation
+	// Estimates and SigRatio are a reported round's domain-indexed DP
+	// estimates (shared — treat as read-only) and DMU significance ratio.
+	Estimates []float64
+	SigRatio  float64
 }
 
 // Timings accumulates per-component wall time, matching the paper's Table V

@@ -14,7 +14,7 @@ const DefaultThreshold = 0.1
 // ControllerOptions configures a Controller.
 type ControllerOptions struct {
 	// Every is the rebuild cadence in windows: a fresh layout is grown every
-	// Every×W timestamps. ≤ 0 disables periodic rebuilds (the tracker still
+	// Every×W timestamps. ≤ 0 disables periodic rebuilds (the sketch still
 	// accumulates, so manual Propose calls work).
 	Every int
 	// W is the engine's window size (timestamps per window).
@@ -84,12 +84,14 @@ type Proposal struct {
 // Controller owns the rebuild/switch policy of online re-discretization:
 // feed it the released positions every timestamp (Observe), ask it at window
 // boundaries whether a rebuild is due (Due), and let Propose grow a fresh
-// quadtree from the sketch and measure it against the current layout. The
-// caller performs the actual migration and reports it back with NoteSwitch.
-// Not safe for concurrent use.
+// quadtree from the last SketchWindows×W timestamps of the sketch and
+// measure it against the current layout. The caller performs the actual
+// migration and reports it back with NoteSwitch. The sketch is the one copy
+// of the released stream; other readers share it through Sketch. Not safe
+// for concurrent use.
 type Controller struct {
 	opts      ControllerOptions
-	tracker   *DensityTracker
+	sketch    *DensityTracker
 	relayouts int
 	lastDist  float64
 
@@ -108,10 +110,17 @@ func NewController(opts ControllerOptions) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{
-		opts:    opts,
-		tracker: NewDensityTracker(opts.SketchWindows * opts.W),
+		opts:   opts,
+		sketch: NewDensityTracker(opts.SketchWindows * opts.W),
 	}, nil
 }
+
+// window is the number of timestamps a proposal reads.
+func (c *Controller) window() int { return c.opts.SketchWindows * c.opts.W }
+
+// Sketch returns the controller's release sketch, for readers that share it
+// (Retain widens it for a reader with a longer window).
+func (c *Controller) Sketch() *DensityTracker { return c.sketch }
 
 // SetMetrics registers the controller's observability series on reg: rebuild
 // proposals, committed switches, the layout distance measured at each
@@ -141,23 +150,25 @@ func (c *Controller) Trigger() TriggerPolicy {
 }
 
 // Observe records the released synthetic positions at timestamp t.
-func (c *Controller) Observe(t int, pts []spatial.Point) { c.tracker.Observe(t, pts) }
+func (c *Controller) Observe(t int, pts []spatial.Point) { c.sketch.Observe(t, pts) }
 
 // Due reports whether processing timestamp t completed a rebuild period:
-// t+1 is a multiple of Every×W and the sketch is non-empty.
+// t+1 is a multiple of Every×W and the controller's window of the sketch
+// holds points.
 func (c *Controller) Due(t int) bool {
 	if c.opts.Every <= 0 {
 		return false
 	}
 	period := c.opts.Every * c.opts.W
-	return (t+1)%period == 0 && c.tracker.Len() > 0
+	return (t+1)%period == 0 && c.sketch.size(c.window()) > 0
 }
 
-// Propose grows a fresh quadtree from the current sketch and measures its
-// layout distance from current. It never mutates the controller; apply the
-// migration and call NoteSwitch if you follow the recommendation.
+// Propose grows a fresh quadtree from the sketch's last SketchWindows×W
+// timestamps and measures its layout distance from current. It never
+// mutates the controller; apply the migration and call NoteSwitch if you
+// follow the recommendation.
 func (c *Controller) Propose(current spatial.Discretizer) (Proposal, error) {
-	pts := c.tracker.Points()
+	pts := c.sketch.recent(c.window())
 	if len(pts) == 0 {
 		return Proposal{}, nil
 	}
@@ -205,7 +216,8 @@ func (c *Controller) LastDistance() float64 { return c.lastDist }
 
 // ControllerState is the serializable form of a Controller, embedded in
 // framework checkpoints so rebuild decisions after a restore match the
-// uninterrupted run exactly.
+// uninterrupted run exactly. Tracker holds the controller's own window of
+// the sketch only, however far another reader widened it.
 type ControllerState struct {
 	Tracker   TrackerState `json:"tracker"`
 	Relayouts int          `json:"relayouts"`
@@ -214,12 +226,12 @@ type ControllerState struct {
 
 // State exports a deep copy of the controller's mutable state.
 func (c *Controller) State() ControllerState {
-	return ControllerState{Tracker: c.tracker.State(), Relayouts: c.relayouts, LastDist: c.lastDist}
+	return ControllerState{Tracker: c.sketch.stateWindow(c.window()), Relayouts: c.relayouts, LastDist: c.lastDist}
 }
 
 // Restore replaces the controller's state with a previously exported one.
 func (c *Controller) Restore(st ControllerState) error {
-	if err := c.tracker.Restore(st.Tracker); err != nil {
+	if err := c.sketch.restoreWindow(st.Tracker, c.window()); err != nil {
 		return err
 	}
 	c.relayouts = st.Relayouts

@@ -103,71 +103,106 @@ func triArea(a, b, c spatial.Point) float64 {
 	return math.Abs((b.X-a.X)*(c.Y-a.Y)-(b.Y-a.Y)*(c.X-a.X)) / 2
 }
 
-// DensityTracker accumulates a sliding-window density sketch over the most
-// recent window of released synthetic positions. One Observe call per
-// timestamp records the current positions of the released streams (cell
-// centers); once the window fills, the oldest timestamp's points retire. The
-// tracker stores continuous points, so its contents survive layout switches
-// unchanged. Not safe for concurrent use.
+// DensityTracker is the sliding-window sketch of the released stream: the
+// released positions of every timestamp in (newest−cap, newest], kept as
+// continuous points so the sketch survives layout switches unchanged. The
+// window spans time, not observations: a timestamp never observed (a round
+// the curator skipped) still ages older ones out. Readers take sub-windows
+// of it — the relayout controller its last SketchWindows×W timestamps, the
+// utility monitor the MonitorWindow timestamps before the round it closes —
+// so one sketch serves both. Not safe for concurrent use.
 type DensityTracker struct {
-	cap   int               // timestamps retained
-	slots [][]spatial.Point // ring keyed t % cap
-	ts    []int             // timestamp occupying each slot; -1 empty
-	n     int               // total points currently held
+	cap     int
+	entries []sketchEntry // ascending t
+}
+
+type sketchEntry struct {
+	t   int
+	pts []spatial.Point
 }
 
 // NewDensityTracker creates a tracker retaining the last capTimestamps
 // timestamps of observations.
 func NewDensityTracker(capTimestamps int) *DensityTracker {
-	if capTimestamps < 1 {
-		capTimestamps = 1
-	}
-	d := &DensityTracker{
-		cap:   capTimestamps,
-		slots: make([][]spatial.Point, capTimestamps),
-		ts:    make([]int, capTimestamps),
-	}
-	for i := range d.ts {
-		d.ts[i] = -1
-	}
-	return d
+	return &DensityTracker{cap: max(capTimestamps, 1)}
 }
 
-// Observe records the released positions at timestamp t, evicting whatever
-// timestamp previously occupied t's ring slot. The points are copied.
+// Retain widens the tracker to at least n timestamps, for a reader whose
+// window is longer than the owner's.
+func (d *DensityTracker) Retain(n int) { d.cap = max(d.cap, n) }
+
+// newest returns the latest observed timestamp, -1 when empty.
+func (d *DensityTracker) newest() int {
+	if len(d.entries) == 0 {
+		return -1
+	}
+	return d.entries[len(d.entries)-1].t
+}
+
+// Observe records the released positions at timestamp t (copied) and
+// retires every timestamp at or before t−cap. Observing the newest
+// timestamp again replaces its points; older timestamps are ignored.
 func (d *DensityTracker) Observe(t int, pts []spatial.Point) {
-	if t < 0 {
+	if t < 0 || t < d.newest() {
 		return
 	}
-	slot := t % d.cap
-	d.n -= len(d.slots[slot])
-	d.slots[slot] = append(d.slots[slot][:0], pts...)
-	d.ts[slot] = t
-	d.n += len(pts)
+	if t == d.newest() {
+		d.entries = d.entries[:len(d.entries)-1]
+	}
+	drop := 0
+	for drop < len(d.entries) && d.entries[drop].t <= t-d.cap {
+		drop++
+	}
+	var buf []spatial.Point
+	if drop > 0 {
+		buf = d.entries[0].pts[:0] // recycle the oldest retired buffer
+	}
+	live := copy(d.entries, d.entries[drop:])
+	clear(d.entries[live:]) // no retired points stay reachable
+	d.entries = append(d.entries[:live], sketchEntry{t: t, pts: append(buf, pts...)})
 }
 
 // Len returns the number of points currently held.
-func (d *DensityTracker) Len() int { return d.n }
+func (d *DensityTracker) Len() int { return d.size(d.cap) }
 
-// Points returns the sketch: every retained point, ordered by timestamp
-// (oldest first) and within a timestamp by observation order. The
-// deterministic order keeps quadtree rebuilds reproducible.
-func (d *DensityTracker) Points() []spatial.Point {
-	order := make([]int, 0, d.cap)
-	for slot, t := range d.ts {
-		if t >= 0 {
-			order = append(order, slot)
+// Each calls fn on every held point of the timestamps in [from, to], oldest
+// timestamp first and in observation order within a timestamp.
+func (d *DensityTracker) Each(from, to int, fn func(spatial.Point)) {
+	for _, e := range d.entries {
+		if e.t >= from && e.t <= to {
+			for _, p := range e.pts {
+				fn(p)
+			}
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return d.ts[order[a]] < d.ts[order[b]] })
-	out := make([]spatial.Point, 0, d.n)
-	for _, slot := range order {
-		out = append(out, d.slots[slot]...)
+}
+
+// size returns the number of points of the last n timestamps,
+// (newest−n, newest].
+func (d *DensityTracker) size(n int) int {
+	total := 0
+	for _, e := range d.entries {
+		if e.t > d.newest()-n {
+			total += len(e.pts)
+		}
 	}
+	return total
+}
+
+// recent returns the points of the last n timestamps in Each order; the
+// deterministic order keeps quadtree rebuilds reproducible.
+func (d *DensityTracker) recent(n int) []spatial.Point {
+	out := make([]spatial.Point, 0, d.size(n))
+	d.Each(d.newest()-n+1, d.newest(), func(p spatial.Point) { out = append(out, p) })
 	return out
 }
 
-// TrackerState is the serializable form of a DensityTracker.
+// Points returns every held point, ordered by timestamp (oldest first) and
+// within a timestamp by observation order.
+func (d *DensityTracker) Points() []spatial.Point { return d.recent(d.cap) }
+
+// TrackerState is the serializable form of a DensityTracker window: a ring
+// of Cap slots keyed t % Cap, Ts[i] = -1 marking an empty slot.
 type TrackerState struct {
 	Cap   int               `json:"cap"`
 	Slots [][]spatial.Point `json:"slots"`
@@ -175,32 +210,42 @@ type TrackerState struct {
 }
 
 // State exports a deep copy of the tracker.
-func (d *DensityTracker) State() TrackerState {
-	st := TrackerState{
-		Cap:   d.cap,
-		Slots: make([][]spatial.Point, d.cap),
-		Ts:    append([]int(nil), d.ts...),
+func (d *DensityTracker) State() TrackerState { return d.stateWindow(d.cap) }
+
+// Restore replaces the tracker's contents with a previously exported state.
+// The capacity must match.
+func (d *DensityTracker) Restore(st TrackerState) error { return d.restoreWindow(st, d.cap) }
+
+// stateWindow exports the last win timestamps only, so a checkpoint does
+// not depend on how far a reader widened the tracker.
+func (d *DensityTracker) stateWindow(win int) TrackerState {
+	st := TrackerState{Cap: win, Slots: make([][]spatial.Point, win), Ts: make([]int, win)}
+	for i := range st.Ts {
+		st.Ts[i] = -1
 	}
-	for i, pts := range d.slots {
-		st.Slots[i] = append([]spatial.Point(nil), pts...)
+	for _, e := range d.entries {
+		if e.t > d.newest()-win {
+			st.Ts[e.t%win] = e.t
+			st.Slots[e.t%win] = append([]spatial.Point(nil), e.pts...)
+		}
 	}
 	return st
 }
 
-// Restore replaces the tracker's contents with a previously exported state.
-// The capacity must match.
-func (d *DensityTracker) Restore(st TrackerState) error {
-	if st.Cap != d.cap || len(st.Slots) != d.cap || len(st.Ts) != d.cap {
+// restoreWindow loads a state exported by stateWindow(win).
+func (d *DensityTracker) restoreWindow(st TrackerState, win int) error {
+	if st.Cap != win || len(st.Slots) != win || len(st.Ts) != win {
 		return fmt.Errorf("relayout: tracker restore capacity %d (slots %d, ts %d) ≠ %d",
-			st.Cap, len(st.Slots), len(st.Ts), d.cap)
+			st.Cap, len(st.Slots), len(st.Ts), win)
 	}
-	d.n = 0
-	for i := range d.slots {
-		d.slots[i] = append(d.slots[i][:0], st.Slots[i]...)
-		d.ts[i] = st.Ts[i]
-		if d.ts[i] >= 0 {
-			d.n += len(d.slots[i])
-		}
+	order := make([]int, win)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return st.Ts[order[a]] < st.Ts[order[b]] })
+	d.entries = nil
+	for _, slot := range order {
+		d.Observe(st.Ts[slot], st.Slots[slot])
 	}
 	return nil
 }

@@ -24,10 +24,13 @@ package remote
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
+	"retrasyn/internal/adapt"
 	"retrasyn/internal/allocation"
+	"retrasyn/internal/core"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/mobility"
 	"retrasyn/internal/monitor"
@@ -48,7 +51,8 @@ type CuratorConfig struct {
 	Space   spatial.Discretizer
 	Epsilon float64
 	W       int
-	// Division selects budget or population division (default population).
+	// Division selects budget or population division. The zero value is
+	// allocation.Budget.
 	Division allocation.Division
 	// Strategy defaults to the adaptive strategy for the division.
 	Strategy allocation.Strategy
@@ -106,19 +110,6 @@ func (c *CuratorConfig) validate() error {
 	if c.RediscretizeEvery < 0 {
 		return fmt.Errorf("remote: RediscretizeEvery must be ≥ 0, got %d", c.RediscretizeEvery)
 	}
-	if c.RediscretizeEvery > 0 {
-		if !relayout.Migratable(c.Space) {
-			// Fail at construction, not at the first periodic rebuild inside
-			// Finalize — by then the round has already committed.
-			return fmt.Errorf("remote: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", c.Space)
-		}
-	}
-	if c.RelayoutThreshold < 0 || c.RelayoutThreshold >= 1 {
-		return fmt.Errorf("remote: RelayoutThreshold %v outside [0, 1)", c.RelayoutThreshold)
-	}
-	if c.RelayoutLeaves < 0 {
-		return fmt.Errorf("remote: RelayoutLeaves must be ≥ 0, got %d", c.RelayoutLeaves)
-	}
 	if c.MonitorWindow < 0 {
 		return fmt.Errorf("remote: MonitorWindow must be ≥ 0, got %d", c.MonitorWindow)
 	}
@@ -150,12 +141,15 @@ type Assignment struct {
 type Curator struct {
 	cfg    CuratorConfig
 	bootFP CuratorFingerprint
-	dom    *transition.Domain
 
-	mu             sync.Mutex
-	space          spatial.Discretizer // layout currently in effect
-	generation     int                 // layout migrations applied so far
-	ctl            *relayout.Controller
+	mu sync.Mutex
+	// live is the layout-dependent state (as in the engine); model is its
+	// current live.Model, refreshed on every layout change; generation
+	// counts the layout migrations applied.
+	live           core.Live
+	model          *mobility.Model
+	generation     int
+	adapt          *adapt.Loop // release sketch, monitor and relayout
 	t              int
 	phase          phase
 	present        map[int]bool // users who announced presence for t
@@ -164,9 +158,7 @@ type Curator struct {
 	epsRound       float64
 	agg            *ldp.Aggregator
 	oracle         *ldp.OUE
-	model          *mobility.Model
-	users          *UserRoster
-	dev            *allocation.DevTracker
+	users          *core.UserTracker
 	sig            *allocation.SigTracker
 	budgetWin      *allocation.BudgetWindow
 	ledger         *allocation.Ledger
@@ -178,10 +170,8 @@ type Curator struct {
 	// The estimation / model-update / synthesis stages are shared with the
 	// in-process engine (internal/pipeline); only collection differs — here
 	// the reports arrive over the network.
-	estimator  *pipeline.DebiasEstimator
-	updater    *pipeline.DMUUpdater
-	synthStage *pipeline.SynthesisStage
-	timings    pipeline.Timings
+	estimator *pipeline.DebiasEstimator
+	timings   pipeline.Timings
 
 	// Observability (always on, run-scoped — never checkpointed). reg is the
 	// registry NewHandler serves at GET /metrics; lastTimings is the Timings
@@ -189,8 +179,8 @@ type Curator struct {
 	// (including report folds charged during ingestion) lands in histograms.
 	reg          *obs.Registry
 	metrics      curatorMetrics
-	mon          *monitor.Monitor // utility sentinel; run-scoped like reg
-	cellMassBuf  []float64        // CellMasses scratch, resized on relayout
+	cellMassBuf  []float64      // CellMasses scratch, resized on relayout
+	cellBuf      []spatial.Cell // released-cell scratch
 	logger       *slog.Logger
 	tracer       *slog.Logger
 	lastTimings  pipeline.Timings
@@ -199,110 +189,65 @@ type Curator struct {
 	roundReports int // reports ingested since the last Plan
 }
 
-// UserRoster is the curator's view of user states; it reuses the engine's
-// tracker semantics via composition.
-type UserRoster struct {
-	w        int
-	status   map[int]uint8 // 0 active, 1 inactive, 2 quitted
-	reported [][]int
-}
-
-func newRoster(w int) *UserRoster {
-	return &UserRoster{w: w, status: make(map[int]uint8), reported: make([][]int, w)}
-}
-
-func (r *UserRoster) begin(t int) {
-	slot := t % r.w
-	for _, id := range r.reported[slot] {
-		if r.status[id] == 1 {
-			r.status[id] = 0
-		}
-	}
-	r.reported[slot] = r.reported[slot][:0]
-}
-
-func (r *UserRoster) register(id int) {
-	if _, ok := r.status[id]; !ok {
-		r.status[id] = 0
-	}
-}
-
-func (r *UserRoster) active(id int) bool { return r.status[id] == 0 }
-
-func (r *UserRoster) markReported(id, t int) {
-	r.status[id] = 1
-	r.reported[t%r.w] = append(r.reported[t%r.w], id)
-}
-
-func (r *UserRoster) markQuitted(id int) { r.status[id] = 2 }
-
 // NewCurator constructs the server-side engine.
 func NewCurator(cfg CuratorConfig) (*Curator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dom := transition.NewDomain(cfg.Space)
 	rng := ldp.NewSource(cfg.Seed, cfg.Seed^0x6a09e667f3bcc908)
 	synth, err := synthesis.New(cfg.Space, synthesis.Options{Lambda: cfg.Lambda}, rng)
 	if err != nil {
 		return nil, err
 	}
-	model := mobility.NewModel(dom)
+	live := core.NewLive(cfg.Space, synth, cfg.Kappa, false, false)
 	c := &Curator{
 		cfg:         cfg,
-		dom:         dom,
-		space:       cfg.Space,
+		live:        live,
+		model:       live.Model,
 		present:     make(map[int]bool),
 		prevPresent: make(map[int]bool),
-		model:       model,
-		users:       newRoster(cfg.W),
-		dev:         allocation.NewDevTracker(cfg.Kappa),
-		sig:         allocation.NewSigTracker(cfg.Kappa),
-		rng:         rng,
-		t:           -1,
-		estimator:   &pipeline.DebiasEstimator{},
-		updater:     &pipeline.DMUUpdater{Model: model},
-		synthStage:  &pipeline.SynthesisStage{Model: model, Synth: synth},
+		// The curator gates reporters in both divisions: a user who reported
+		// rests for w timestamps whatever the division. Population division
+		// needs this (it is Alg. 1's recycling). Budget division does not —
+		// the budget window already bounds every user's Σ ε_t per window,
+		// and the in-process engine lets every eligible user report at every
+		// collected timestamp — so a budget-division curator collects far
+		// fewer reports than the engine on the same stream (about 8.5× fewer
+		// at SanJoaquin ×0.3). Privacy only gets more conservative; dropping
+		// the gate would multiply device reports and is left to a change of
+		// its own.
+		users:     core.NewUserTracker(cfg.W),
+		sig:       allocation.NewSigTracker(cfg.Kappa),
+		rng:       rng,
+		t:         -1,
+		estimator: &pipeline.DebiasEstimator{},
 	}
 	if cfg.Division == allocation.Budget {
 		c.budgetWin = allocation.NewBudgetWindow(cfg.W)
 	}
 	c.reg = obs.NewRegistry()
 	c.metrics = newCuratorMetrics(c.reg, cfg.W)
-	c.metrics.domainSize.Set(float64(dom.Size()))
+	c.metrics.domainSize.Set(float64(live.Dom.Size()))
 	c.logger = discardLogger()
-	c.dev.Push(make([]float64, dom.Size()))
 	c.bootFP = c.configFingerprint()
-	// The density tracker always runs (the manual /v1/relayout endpoint
-	// works without the periodic cadence); rebuilds consume only released
-	// data, so tracking is privacy-free.
-	leaves := cfg.RelayoutLeaves
-	if leaves == 0 {
-		leaves = cfg.Space.NumCells()
-	}
-	ctl, err := relayout.NewController(relayout.ControllerOptions{
-		Every:     cfg.RediscretizeEvery,
-		W:         cfg.W,
-		Threshold: cfg.RelayoutThreshold,
-		Quadtree:  spatial.QuadtreeOptions{MaxLeaves: leaves},
-		Bounds:    cfg.Space.Bounds(),
-		Trigger:   cfg.TriggerPolicy,
+	// The adaptation loop always runs, like the registry: it only reads
+	// public data (the released stream and the DP estimates), so it costs
+	// no budget and cannot perturb the protocol. Its sketch feeds the
+	// manual /v1/relayout endpoint even without the periodic cadence.
+	c.adapt, err = adapt.New(adapt.Config{
+		Space:         cfg.Space,
+		W:             cfg.W,
+		Every:         cfg.RediscretizeEvery,
+		Threshold:     cfg.RelayoutThreshold,
+		Leaves:        cfg.RelayoutLeaves,
+		Trigger:       cfg.TriggerPolicy,
+		MonitorWindow: cfg.MonitorWindow,
+		Manual:        true,
+		Metrics:       c.reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetMetrics(c.reg)
-	c.ctl = ctl
-	// The utility monitor is always on, like the registry: it only reads
-	// public data (the released stream and the DP estimates), so it costs
-	// no budget and cannot perturb the protocol.
-	mon, err := monitor.New(monitor.Options{Window: cfg.MonitorWindow})
-	if err != nil {
-		return nil, err
-	}
-	mon.SetMetrics(c.reg)
-	ctl.SetAlarmSource(mon)
-	c.mon = mon
 	return c, nil
 }
 
@@ -379,14 +324,14 @@ func (c *Curator) Plan(t int) error {
 		return c.roundError("plan", t, fmt.Errorf("remote: Plan(%d) after timestamp %d", t, c.t))
 	}
 	c.t = t
-	c.users.begin(t)
+	c.users.BeginTimestamp(t)
 	for id := range c.present {
-		c.users.register(id)
+		c.users.Register(id)
 	}
 
 	ctx := allocation.Context{
 		T: t, W: c.cfg.W, Epsilon: c.cfg.Epsilon,
-		Dev: c.dev.Dev(), SigRatioMean: c.sig.Mean(),
+		Dev: c.live.Dev.Dev(), SigRatioMean: c.sig.Mean(),
 	}
 	if c.budgetWin != nil {
 		ctx.WindowUsed = c.budgetWin.Used()
@@ -394,11 +339,11 @@ func (c *Curator) Plan(t int) error {
 	decision := c.cfg.Strategy.Decide(ctx)
 	pool := make([]int, 0, len(c.present))
 	for id := range c.present {
-		if c.users.active(id) {
+		if c.users.IsActive(id) {
 			pool = append(pool, id)
 		}
 	}
-	if !c.updater.Bootstrapped() && len(pool) > 0 && !decision.Report {
+	if !c.live.Updater.Bootstrapped() && len(pool) > 0 && !decision.Report {
 		if c.cfg.Division == allocation.Budget {
 			decision = allocation.Decision{Report: true, Epsilon: c.cfg.Epsilon / float64(c.cfg.W)}
 		} else {
@@ -421,7 +366,7 @@ func (c *Curator) Plan(t int) error {
 				n = len(pool)
 			}
 			// Deterministic partial Fisher-Yates over a sorted pool.
-			sortInts(pool)
+			slices.Sort(pool)
 			for i := 0; i < n; i++ {
 				j := i + c.rng.IntN(len(pool)-i)
 				pool[i], pool[j] = pool[j], pool[i]
@@ -431,7 +376,7 @@ func (c *Curator) Plan(t int) error {
 		for _, id := range sampled {
 			c.assignments[id] = Assignment{Report: true, Epsilon: c.epsRound}
 		}
-		c.oracle = ldp.MustOUE(c.dom.Size(), c.epsRound)
+		c.oracle = ldp.MustOUE(c.live.Dom.Size(), c.epsRound)
 		c.agg = ldp.NewAggregator(c.oracle)
 	} else {
 		c.oracle, c.agg = nil, nil
@@ -492,7 +437,7 @@ func (c *Curator) reportLocked(user, t int, ones []int) error {
 	}
 	c.agg.Add(ones)
 	c.metrics.reportsSparse.Inc()
-	c.applyReportMetaLocked(user, t, a.Epsilon)
+	c.applyReportMetaLocked(user, t)
 	return nil
 }
 
@@ -502,7 +447,7 @@ func (c *Curator) reportLocked(user, t int, ones []int) error {
 // service; with it the report is rejected with a clean error and the round
 // stays intact.
 func (c *Curator) validateOnesLocked(ones []int) error {
-	d := c.dom.Size()
+	d := c.live.Dom.Size()
 	for _, i := range ones {
 		if i < 0 || i >= d {
 			return fmt.Errorf("remote: report bit %d outside domain [0, %d)", i, d)
@@ -512,16 +457,17 @@ func (c *Curator) validateOnesLocked(ones []int) error {
 }
 
 // applyReportMetaLocked records the bookkeeping of one ingested report —
-// everything except the aggregation fold itself.
-func (c *Curator) applyReportMetaLocked(user, t int, eps float64) {
+// everything except the aggregation fold itself. The ledger logs the user
+// here; the round's ε is charged once, at Finalize.
+func (c *Curator) applyReportMetaLocked(user, t int) {
 	delete(c.assignments, user) // one report per assignment
-	c.users.markReported(user, t)
+	c.users.MarkReported(user, t)
 	c.reports++
 	c.roundReports++
 	c.metrics.reports.Inc()
 	c.metrics.pendingAsgn.Set(float64(len(c.assignments)))
 	if c.ledger != nil {
-		c.ledger.RecordRound(t, eps, []int{user})
+		c.ledger.RecordRound(t, 0, []int{user})
 	}
 }
 
@@ -543,7 +489,6 @@ func (c *Curator) ReportBatch(t int, batch []BatchReport) error {
 		return fmt.Errorf("remote: batch outside an open round")
 	}
 	seen := make(map[int]struct{}, len(batch))
-	eps := make([]float64, len(batch))
 	for i, r := range batch {
 		if _, dup := seen[r.User]; dup {
 			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, r.User)
@@ -556,7 +501,6 @@ func (c *Curator) ReportBatch(t int, batch []BatchReport) error {
 		if err := c.validateOnesLocked(r.Ones); err != nil {
 			return fmt.Errorf("remote: batch entry %d: %w", i, err)
 		}
-		eps[i] = a.Epsilon
 	}
 	start := time.Now()
 	for _, r := range batch {
@@ -564,8 +508,8 @@ func (c *Curator) ReportBatch(t int, batch []BatchReport) error {
 	}
 	c.timings.ModelConstruction += time.Since(start)
 	c.metrics.reportsSparse.Add(int64(len(batch)))
-	for i, r := range batch {
-		c.applyReportMetaLocked(r.User, t, eps[i])
+	for _, r := range batch {
+		c.applyReportMetaLocked(r.User, t)
 	}
 	return nil
 }
@@ -648,13 +592,12 @@ func (c *Curator) commitPackedBatch(t, d int, users []int, packed *ldp.PackedBat
 	if c.phase != phasePlanned || t != c.t {
 		return fmt.Errorf("remote: batch outside an open round")
 	}
-	if cd := c.dom.Size(); d != cd {
+	if cd := c.live.Dom.Size(); d != cd {
 		// A relayout landed between decode and commit; the rows were packed
 		// for the old bit layout and must not fold into the new one.
 		return fmt.Errorf("remote: packed batch encoded for domain %d, curator domain is %d", d, cd)
 	}
 	seen := make(map[int]struct{}, len(users))
-	eps := make([]float64, len(users))
 	for i, u := range users {
 		if _, dup := seen[u]; dup {
 			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, u)
@@ -664,14 +607,13 @@ func (c *Curator) commitPackedBatch(t, d int, users []int, packed *ldp.PackedBat
 		if !ok || !a.Report {
 			return fmt.Errorf("remote: batch entry %d: user %d was not sampled at timestamp %d", i, u, t)
 		}
-		eps[i] = a.Epsilon
 	}
 	start := time.Now()
 	c.agg.AddPackedBatch(packed, ldp.DefaultWorkers())
 	c.timings.ModelConstruction += time.Since(start)
 	c.metrics.reportsPacked.Add(int64(len(users)))
-	for i, u := range users {
-		c.applyReportMetaLocked(u, t, eps[i])
+	for _, u := range users {
+		c.applyReportMetaLocked(u, t)
 	}
 	return nil
 }
@@ -697,8 +639,8 @@ func (c *Curator) Finalize(t, activeCount int) error {
 		ctx.Aggregate = c.agg
 		ctx.ErrUpd = c.oracle.Variance(c.agg.N())
 		c.estimator.Estimate(ctx)
-		c.updater.Update(ctx)
-		c.dev.Push(ctx.Estimates)
+		c.live.Updater.Update(ctx)
+		c.live.Dev.Push(ctx.Estimates)
 		c.rounds++
 		c.metrics.rounds.Inc()
 		c.metrics.reportCount.ObserveValue(int64(c.roundReports))
@@ -713,50 +655,42 @@ func (c *Curator) Finalize(t, activeCount int) error {
 	if c.budgetWin != nil {
 		c.budgetWin.Record(spent)
 	}
+	if reported && c.ledger != nil {
+		c.ledger.RecordRound(t, spent, nil)
+	}
 	c.metrics.meter.Observe(spent, c.roundReports, c.roundPool)
 
 	// Quit inference: users present at t−1 but silent at t have stopped
 	// sharing.
 	for id := range c.prevPresent {
 		if !c.present[id] {
-			c.users.markQuitted(id)
+			c.users.MarkQuitted(id)
 		}
 	}
 	c.prevPresent, c.present = c.present, make(map[int]bool)
 
-	c.synthStage.Step(ctx)
+	c.live.Stage.Step(ctx)
 	c.phase = phaseIdle
 	c.assignments = nil
 	c.metrics.openRound.Set(0)
 	c.metrics.pendingAsgn.Set(0)
 
-	// Online re-discretization and utility monitoring both consume this
-	// round's released positions — sketch them once. The monitor closes
-	// its round before any relayout decision so the degradation trigger
-	// sees alarms that include timestamp t. Divergence compares this
-	// round's estimates against the sketch *before* folding in this
-	// round's release: the synthesizer adapts to the estimates within the
-	// round, so including it would dilute a regime change with the
-	// already-adapted stream and the sentinel would miss exactly the
-	// shifts it exists to catch.
-	pts := c.releasedPositionsLocked()
-	c.ctl.Observe(t, pts)
 	var cellEst []float64
 	if reported {
-		c.cellMassBuf = monitor.CellMasses(c.dom, ctx.Estimates, c.cellMassBuf)
+		c.cellMassBuf = monitor.CellMasses(c.live.Dom, ctx.Estimates, c.cellMassBuf)
 		cellEst = c.cellMassBuf
 	}
-	monRep := c.mon.Round(t, c.space, cellEst, ctx.SigRatio,
-		c.metrics.roundErrors.Value()+c.metrics.relayoutErrors.Value())
-	c.mon.ObserveRelease(t, pts)
-	relayoutSwitched, triggerFired := false, false
-	if c.ctl.Due(t) {
-		status, err := c.relayoutLocked(false)
-		if err != nil {
-			return c.relayoutError(t, fmt.Errorf("remote: periodic relayout at timestamp %d: %w", t, err))
-		}
-		relayoutSwitched = status.Switched
-		triggerFired = status.TriggerFired
+	c.cellBuf = c.live.Synth().ActiveCells(c.cellBuf[:0])
+	out, err := c.adapt.Step(adapt.Round{
+		T:        t,
+		Space:    c.live.Space,
+		Cells:    c.cellBuf,
+		CellEst:  cellEst,
+		SigRatio: ctx.SigRatio,
+		Errors:   c.metrics.roundErrors.Value() + c.metrics.relayoutErrors.Value(),
+	}, c.migrateLocked)
+	if err != nil {
+		return c.relayoutError(t, fmt.Errorf("remote: periodic relayout at timestamp %d: %w", t, err))
 	}
 
 	// Per-round stage-latency deltas: timings accumulate cumulatively (the
@@ -767,7 +701,7 @@ func (c *Curator) Finalize(t, activeCount int) error {
 	c.metrics.stageModel.Observe(delta.ModelConstruction)
 	c.metrics.stageDMU.Observe(delta.DMU)
 	c.metrics.stageSynth.Observe(delta.Synthesis)
-	c.traceRound(t, reported, c.roundReports, spent, ctx.SigRatio, ctx.Result.NumSignificant, delta, relayoutSwitched, monRep, triggerFired)
+	c.traceRound(t, reported, c.roundReports, spent, ctx.SigRatio, ctx.Result.NumSignificant, delta, out)
 	return nil
 }
 
@@ -776,12 +710,12 @@ func (c *Curator) Health() HealthReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return HealthReport{
-		Health:     c.mon.Health(),
+		Health:     c.adapt.Monitor().Health(),
 		T:          c.t,
 		Rounds:     c.rounds,
 		Generation: c.generation,
-		Window:     c.mon.Window(),
-		Trigger:    string(c.ctl.Trigger()),
+		Window:     c.adapt.Monitor().Window(),
+		Trigger:    string(c.adapt.Controller().Trigger()),
 	}
 }
 
@@ -799,29 +733,6 @@ type HealthReport struct {
 	Window int `json:"monitor_window"`
 	// Trigger is the relayout trigger policy in effect.
 	Trigger string `json:"trigger"`
-}
-
-// releasedPositionsLocked returns the current positions of the released
-// synthetic streams as continuous points, spread over their cell geometry —
-// boxes for boxed backends, polygons for geofenced ones — by a deterministic
-// low-discrepancy sequence (see relayout.SpreadInBox / SpreadInPieces).
-func (c *Curator) releasedPositionsLocked() []spatial.Point {
-	cells := c.synthStage.Synth.ActiveCells(nil)
-	pts := make([]spatial.Point, len(cells))
-	boxed, _ := c.space.(spatial.Boxed)
-	poly, _ := c.space.(spatial.Overlapper)
-	for i, cell := range cells {
-		switch {
-		case boxed != nil:
-			pts[i] = relayout.SpreadInBox(boxed.CellBox(cell), i)
-		case poly != nil:
-			pts[i] = relayout.SpreadInPieces(poly.CellPieces(cell), i)
-		default:
-			x, y := c.space.Center(cell)
-			pts[i] = spatial.Point{X: x, Y: y}
-		}
-	}
-	return pts
 }
 
 // RelayoutStatus reports the outcome of a relayout request and the current
@@ -852,9 +763,9 @@ func (c *Curator) statusLocked(switched bool, distance float64) RelayoutStatus {
 		Switched:    switched,
 		Distance:    distance,
 		Generation:  c.generation,
-		Cells:       c.space.NumCells(),
-		DomainSize:  c.dom.Size(),
-		Fingerprint: c.space.Fingerprint(),
+		Cells:       c.live.Space.NumCells(),
+		DomainSize:  c.live.Dom.Size(),
+		Fingerprint: c.live.Space.Fingerprint(),
 	}
 }
 
@@ -871,70 +782,31 @@ func (c *Curator) Relayout(force bool) (RelayoutStatus, error) {
 	if c.phase != phaseIdle {
 		return c.statusLocked(false, 0), c.relayoutError(c.t, fmt.Errorf("remote: relayout while a round is open — finalize timestamp %d first", c.t))
 	}
-	st, err := c.relayoutLocked(force)
+	prop, switched, err := c.adapt.Relayout(c.live.Space, force, c.migrateLocked)
+	st := c.statusLocked(switched, prop.Distance)
+	st.TriggerFired, st.Alarmed = prop.Switch, prop.Alarmed
 	return st, c.relayoutError(c.t, err)
 }
 
-// relayoutLocked proposes a rebuild and applies the migration when the
-// controller (or force) says to switch. Mirrors core.Engine.Relayout for the
-// curator's wiring.
-func (c *Curator) relayoutLocked(force bool) (RelayoutStatus, error) {
-	prop, err := c.ctl.Propose(c.space)
-	if err != nil {
-		return c.statusLocked(false, 0), err
+// migrateLocked moves the curator onto a new layout — the adaptation loop's
+// migrate step. The live state migrates exactly as the in-process engine's
+// does (core.Live.Migrate); around it the curator keeps only its protocol
+// state.
+func (c *Curator) migrateLocked(sp spatial.Discretizer) error {
+	start := time.Now()
+	if err := c.live.Migrate(sp); err != nil {
+		return err
 	}
-	decided := func(switched bool) RelayoutStatus {
-		st := c.statusLocked(switched, prop.Distance)
-		st.TriggerFired = prop.Switch
-		st.Alarmed = prop.Alarmed
-		return st
-	}
-	if prop.Target == nil || prop.Target.Fingerprint() == c.space.Fingerprint() {
-		return decided(false), nil
-	}
-	if !prop.Switch && !force {
-		return decided(false), nil
-	}
-	migStart := time.Now()
-	mig, err := relayout.NewMigration(c.space, prop.Target)
-	if err != nil {
-		return decided(false), err
-	}
-	newDom := transition.NewDomain(prop.Target)
-	newFreq, err := mig.RemapFreqs(c.dom, newDom, c.model.Freqs())
-	if err != nil {
-		return decided(false), err
-	}
-	devSt, err := mig.RemapDevState(c.dom, newDom, c.dev.State())
-	if err != nil {
-		return decided(false), err
-	}
-	newModel := mobility.NewModel(newDom)
-	if err := newModel.Restore(mobility.State{Freq: newFreq, Init: c.model.Initialized()}); err != nil {
-		return decided(false), err
-	}
-	c.dev.Restore(devSt)
-	c.synthStage.Synth.Relayout(prop.Target, mig.MapCell)
-	bootstrapped := c.updater.Bootstrapped()
-	c.updater = &pipeline.DMUUpdater{Model: newModel}
-	c.updater.SetBootstrapped(bootstrapped)
-	c.synthStage = &pipeline.SynthesisStage{Model: newModel, Synth: c.synthStage.Synth}
-	c.model = newModel
-	c.dom = newDom
-	c.space = prop.Target
+	c.model = c.live.Model
 	// The last closed round's aggregator is indexed by the old domain; drop
 	// it so a post-migration snapshot doesn't embed (and a restore doesn't
 	// rebuild) a stale-length aggregate.
 	c.oracle, c.agg = nil, nil
 	c.generation++
-	c.ctl.NoteSwitch(prop.Distance)
-	// The stationary level of the layout-dependent monitor signals moves
-	// with the discretization: re-learn their baselines on the new layout.
-	c.mon.NoteRelayout()
 	c.metrics.generation.Set(float64(c.generation))
-	c.metrics.domainSize.Set(float64(newDom.Size()))
-	c.metrics.observeMigration(time.Since(migStart))
-	return decided(true), nil
+	c.metrics.domainSize.Set(float64(c.live.Dom.Size()))
+	c.metrics.observeMigration(time.Since(start))
+	return nil
 }
 
 // LayoutStatus returns the current layout identity without proposing a
@@ -942,14 +814,14 @@ func (c *Curator) relayoutLocked(force bool) (RelayoutStatus, error) {
 func (c *Curator) LayoutStatus() RelayoutStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.statusLocked(false, c.ctl.LastDistance())
+	return c.statusLocked(false, c.adapt.Controller().LastDistance())
 }
 
 // Synthetic returns the current private release.
 func (c *Curator) Synthetic(name string) *trajectory.Dataset {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.synthStage.Synth.Dataset(name, c.t+1)
+	return c.live.Synth().Dataset(name, c.t+1)
 }
 
 // Stats summarizes the curator's activity.
@@ -974,7 +846,7 @@ func (c *Curator) Timings() pipeline.Timings {
 func (c *Curator) Domain() *transition.Domain {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dom
+	return c.live.Dom
 }
 
 // DomainSize returns the size of the current transition domain — the d a
@@ -983,15 +855,5 @@ func (c *Curator) Domain() *transition.Domain {
 func (c *Curator) DomainSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dom.Size()
-}
-
-func sortInts(s []int) {
-	// Insertion sort suffices for the modest pools the sampler sees; keeps
-	// determinism without importing sort for a hot path.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return c.live.Dom.Size()
 }

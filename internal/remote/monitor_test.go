@@ -138,14 +138,25 @@ func TestMonitorDoesNotPerturbReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A monitor window wider than the controller's sketch window (W) widens
+	// the shared sketch; checkpoints still carry the controller window only.
+	wideCfg := testConfig(g)
+	wideCfg.MonitorWindow = 3 * wideCfg.W
+	wide, err := NewCurator(wideCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const T = 14
 	drv := newProtoDriver(g, base.Domain(), 80, T)
 	for ts := 0; ts < T; ts++ {
-		drv.step(t, ts, base, tuned)
+		drv.step(t, ts, base, tuned, wide)
 	}
 	if !equalReleases(base.Synthetic("a"), tuned.Synthetic("a")) {
 		t.Fatal("monitor window / trigger policy perturbed the released stream")
+	}
+	if !equalReleases(base.Synthetic("a"), wide.Synthetic("a")) {
+		t.Fatal("a wide monitor window perturbed the released stream")
 	}
 
 	baseBlob, err := marshalSnapshot(base)
@@ -158,6 +169,13 @@ func TestMonitorDoesNotPerturbReleases(t *testing.T) {
 	}
 	if !bytes.Equal(stripTimings(t, baseBlob), stripTimings(t, tunedBlob)) {
 		t.Fatal("monitor or trigger state leaked into the snapshot")
+	}
+	wideBlob, err := marshalSnapshot(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stripTimings(t, baseBlob), stripTimings(t, wideBlob)) {
+		t.Fatal("the monitor window leaked into the snapshot's sketch")
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"log/slog"
 	"time"
 
+	"retrasyn/internal/adapt"
 	"retrasyn/internal/allocation"
-	"retrasyn/internal/monitor"
 	"retrasyn/internal/obs"
 	"retrasyn/internal/pipeline"
 )
@@ -129,14 +129,14 @@ func (c *Curator) relayoutError(t int, err error) error {
 
 // traceRound emits the per-round tracer event. delta is the Timings
 // increment this round charged (report folds since the last Finalize plus
-// the estimate/DMU/synthesis work of this one). mon is the utility
-// monitor's round report; divergence keys carry −1 on rounds where it was
-// not computed (unreported round or empty release sketch). Called under
-// c.mu.
-func (c *Curator) traceRound(t int, reported bool, reports int, eps float64, sigRatio float64, significant int, delta pipeline.Timings, relayoutSwitched bool, mon monitor.RoundReport, triggerFired bool) {
+// the estimate/DMU/synthesis work of this one). adapted is the adaptation
+// loop's outcome; divergence keys carry −1 on rounds where it was not
+// computed (unreported round or empty release sketch). Called under c.mu.
+func (c *Curator) traceRound(t int, reported bool, reports int, eps float64, sigRatio float64, significant int, delta pipeline.Timings, adapted adapt.Outcome) {
 	if c.tracer == nil {
 		return
 	}
+	mon := adapted.Monitor
 	divL1, divJS := -1.0, -1.0
 	if mon.Computed {
 		divL1, divJS = mon.L1, mon.JS
@@ -157,13 +157,13 @@ func (c *Curator) traceRound(t int, reported bool, reports int, eps float64, sig
 		"model_construction_us", delta.ModelConstruction.Microseconds(),
 		"dmu_us", delta.DMU.Microseconds(),
 		"synthesis_us", delta.Synthesis.Microseconds(),
-		"domain_size", c.dom.Size(),
+		"domain_size", c.live.Dom.Size(),
 		"generation", c.generation,
-		"relayout_switched", relayoutSwitched,
+		"relayout_switched", adapted.Switched,
 		"divergence", divJS,
 		"divergence_l1", divL1,
 		"alarms", alarms,
-		"trigger_fired", triggerFired,
+		"trigger_fired", adapted.Proposal.Switch,
 	)
 }
 

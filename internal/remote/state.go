@@ -5,13 +5,12 @@ import (
 	"strings"
 
 	"retrasyn/internal/allocation"
+	"retrasyn/internal/core"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/mobility"
 	"retrasyn/internal/pipeline"
 	"retrasyn/internal/relayout"
-	"retrasyn/internal/spatial"
 	"retrasyn/internal/synthesis"
-	"retrasyn/internal/transition"
 )
 
 // Curator checkpointing: Snapshot exports the complete protocol and model
@@ -47,7 +46,7 @@ func (c *Curator) fingerprint() CuratorFingerprint { return c.bootFP }
 func (c *Curator) configFingerprint() CuratorFingerprint {
 	return CuratorFingerprint{
 		Discretizer: c.cfg.Space.Fingerprint(),
-		DomainSize:  c.dom.Size(),
+		DomainSize:  c.live.Dom.Size(),
 		Epsilon:     c.cfg.Epsilon,
 		W:           c.cfg.W,
 		Division:    int(c.cfg.Division),
@@ -55,40 +54,6 @@ func (c *Curator) configFingerprint() CuratorFingerprint {
 		Kappa:       c.cfg.Kappa,
 		Seed:        c.cfg.Seed,
 	}
-}
-
-// RosterState is the serializable form of a UserRoster.
-type RosterState struct {
-	Status   map[int]uint8 `json:"status"`
-	Reported [][]int       `json:"reported"`
-}
-
-func (r *UserRoster) state() RosterState {
-	st := RosterState{
-		Status:   make(map[int]uint8, len(r.status)),
-		Reported: make([][]int, len(r.reported)),
-	}
-	for id, s := range r.status {
-		st.Status[id] = s
-	}
-	for i, ids := range r.reported {
-		st.Reported[i] = append([]int(nil), ids...)
-	}
-	return st
-}
-
-func (r *UserRoster) restore(st RosterState) error {
-	if len(st.Reported) != r.w {
-		return fmt.Errorf("remote: roster restore with %d slots, window %d", len(st.Reported), r.w)
-	}
-	r.status = make(map[int]uint8, len(st.Status))
-	for id, s := range st.Status {
-		r.status[id] = s
-	}
-	for i := range r.reported {
-		r.reported[i] = append([]int(nil), st.Reported[i]...)
-	}
-	return nil
 }
 
 // CuratorState is the serializable processing state of a Curator, including
@@ -121,7 +86,9 @@ type CuratorState struct {
 	Model        mobility.State `json:"model"`
 	Bootstrapped bool           `json:"bootstrapped"`
 
-	Roster       RosterState                   `json:"roster"`
+	// Roster is the user lifecycle. Snapshots written before the curator
+	// shared core.UserTracker carry only its status and reported fields.
+	Roster       core.UserTrackerState         `json:"roster"`
 	Dev          allocation.DevState           `json:"dev"`
 	Sig          allocation.SigState           `json:"sig"`
 	BudgetWindow *allocation.BudgetWindowState `json:"budget_window,omitempty"`
@@ -143,7 +110,7 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: snapshot rng: %w", err)
 	}
-	ctlState := c.ctl.State()
+	ctlState := c.adapt.Controller().State()
 	st := &CuratorState{
 		Version:      CuratorStateVersion,
 		Config:       c.fingerprint(),
@@ -155,15 +122,15 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 		PrevPresent:  copyBoolSet(c.prevPresent),
 		EpsRound:     c.epsRound,
 		Model:        c.model.State(),
-		Bootstrapped: c.updater.Bootstrapped(),
-		Roster:       c.users.state(),
-		Dev:          c.dev.State(),
+		Bootstrapped: c.live.Updater.Bootstrapped(),
+		Roster:       c.users.State(),
+		Dev:          c.live.Dev.State(),
 		Sig:          c.sig.State(),
 		Ledger:       c.ledger.Clone(),
 		RNG:          rngState,
 		Rounds:       c.rounds,
 		Reports:      c.reports,
-		Synth:        c.synthStage.Synth.State(),
+		Synth:        c.live.Synth().State(),
 		Timings:      c.timings,
 	}
 	if c.assignments != nil {
@@ -181,12 +148,12 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 		st.BudgetWindow = &bw
 	}
 	if c.generation > 0 {
-		l, err := relayout.LayoutOf(c.space)
+		l, err := relayout.LayoutOf(c.live.Space)
 		if err != nil {
 			return nil, fmt.Errorf("remote: snapshot layout: %w", err)
 		}
 		st.Layout = &l
-		st.LayoutFingerprint = c.space.Fingerprint()
+		st.LayoutFingerprint = c.live.Space.Fingerprint()
 	}
 	return st, nil
 }
@@ -219,30 +186,17 @@ func (c *Curator) Restore(st *CuratorState) error {
 	}
 	// Put the curator on the layout the snapshot was taken at before loading
 	// the layout-sized state (model vector, aggregate, synthetic cells).
-	switch {
-	case st.Generation > 0:
-		if st.Layout == nil {
-			return fmt.Errorf("remote: snapshot at layout generation %d carries no layout", st.Generation)
-		}
-		sp, err := relayout.FromLayout(*st.Layout)
-		if err != nil {
-			return fmt.Errorf("remote: restore layout: %w", err)
-		}
-		if st.LayoutFingerprint != "" && sp.Fingerprint() != st.LayoutFingerprint {
-			return fmt.Errorf("remote: restored layout fingerprint %s ≠ snapshot %s — corrupt checkpoint",
-				sp.Fingerprint(), st.LayoutFingerprint)
-		}
-		c.adoptSpaceLocked(sp, st.Generation)
-	case c.generation > 0:
-		c.adoptSpaceLocked(c.cfg.Space, 0)
+	if err := c.live.Adopt(c.cfg.Space, st.Generation, st.Layout, st.LayoutFingerprint); err != nil {
+		return fmt.Errorf("remote: %w", err)
 	}
+	c.model, c.generation = c.live.Model, st.Generation
 	if st.Relayout != nil {
-		if err := c.ctl.Restore(*st.Relayout); err != nil {
+		if err := c.adapt.Controller().Restore(*st.Relayout); err != nil {
 			return err
 		}
 	}
-	if st.AggCounts != nil && len(st.AggCounts) != c.dom.Size() {
-		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), c.dom.Size())
+	if st.AggCounts != nil && len(st.AggCounts) != c.live.Dom.Size() {
+		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), c.live.Dom.Size())
 	}
 	if err := c.rng.SetState(st.RNG); err != nil {
 		return fmt.Errorf("remote: restore rng: %w", err)
@@ -250,7 +204,18 @@ func (c *Curator) Restore(st *CuratorState) error {
 	if err := c.model.Restore(st.Model); err != nil {
 		return err
 	}
-	if err := c.users.restore(st.Roster); err != nil {
+	roster := st.Roster
+	if roster.W == 0 {
+		// Legacy {status, reported} roster: the window is the config's and
+		// the active count is recounted from the statuses.
+		roster.W = c.cfg.W
+		for _, s := range roster.Status {
+			if s == 0 {
+				roster.Active++
+			}
+		}
+	}
+	if err := c.users.Restore(roster); err != nil {
 		return err
 	}
 	c.t = st.T
@@ -267,12 +232,12 @@ func (c *Curator) Restore(st *CuratorState) error {
 	}
 	c.oracle, c.agg = nil, nil
 	if st.AggCounts != nil {
-		c.oracle = ldp.MustOUE(c.dom.Size(), c.epsRound)
+		c.oracle = ldp.MustOUE(c.live.Dom.Size(), c.epsRound)
 		c.agg = ldp.NewAggregator(c.oracle)
 		c.agg.AddCounts(st.AggCounts, st.AggN)
 	}
-	c.updater.SetBootstrapped(st.Bootstrapped)
-	c.dev.Restore(st.Dev)
+	c.live.Updater.SetBootstrapped(st.Bootstrapped)
+	c.live.Dev.Restore(st.Dev)
 	c.sig.Restore(st.Sig)
 	if st.BudgetWindow != nil {
 		if err := c.budgetWin.Restore(*st.BudgetWindow); err != nil {
@@ -282,30 +247,13 @@ func (c *Curator) Restore(st *CuratorState) error {
 	c.ledger = st.Ledger.Clone()
 	c.rounds = st.Rounds
 	c.reports = st.Reports
-	c.synthStage.Synth.Restore(st.Synth)
+	c.live.Synth().Restore(st.Synth)
 	c.timings = st.Timings
 	// Stage-latency metrics are per-round deltas off the cumulative timings;
 	// re-baseline so the first post-restore round doesn't charge the donor's
 	// whole pre-checkpoint runtime as one observation.
 	c.lastTimings = st.Timings
 	return nil
-}
-
-// adoptSpaceLocked rebuilds the curator's layout-dependent plumbing over sp
-// without migrating state — the restore path, where the snapshot's vectors
-// (already sized to sp's domain) are loaded right after.
-func (c *Curator) adoptSpaceLocked(sp spatial.Discretizer, generation int) {
-	dom := transition.NewDomain(sp)
-	model := mobility.NewModel(dom)
-	bootstrapped := c.updater.Bootstrapped()
-	c.updater = &pipeline.DMUUpdater{Model: model}
-	c.updater.SetBootstrapped(bootstrapped)
-	c.synthStage.Synth.Relayout(sp, nil)
-	c.synthStage = &pipeline.SynthesisStage{Model: model, Synth: c.synthStage.Synth}
-	c.model = model
-	c.dom = dom
-	c.space = sp
-	c.generation = generation
 }
 
 func copyBoolSet(m map[int]bool) map[int]bool {

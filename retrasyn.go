@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 
+	"retrasyn/internal/adapt"
 	"retrasyn/internal/allocation"
 	"retrasyn/internal/core"
 	"retrasyn/internal/geofence"
@@ -178,8 +179,9 @@ type Options struct {
 	Epsilon float64
 	// Window is the protected window size w (required, ≥ 1).
 	Window int
-	// Division selects budget or population division (default population,
-	// the variant the paper finds strongest).
+	// Division selects budget or population division. The zero value is
+	// BudgetDivision; set PopulationDivision for the variant the paper finds
+	// strongest.
 	Division Division
 	// Strategy is one of StrategyAdaptive (default), StrategyUniform,
 	// StrategySample.
@@ -283,15 +285,14 @@ type Framework struct {
 	engine  *core.Engine          // single-shard path (Shards ≤ 1)
 	coord   *pipeline.Coordinator // multi-shard path
 	engines []*core.Engine        // every underlying engine (1 or Shards)
-	// Online re-discretization (nil unless Options.RediscretizeEvery > 0):
-	// the controller sketches the released stream and proposes rebuilt
-	// layouts; space is the layout currently in effect across all shards.
-	ctl   *relayout.Controller
-	space Discretizer
-	// mon is the live utility monitor (nil unless Options.MonitorWindow >
-	// 0): run-scoped, RNG-free and excluded from checkpoints.
-	mon *monitor.Monitor
-	t   int
+	// adapt is the post-round adaptation loop: release sketch, utility
+	// monitor and relayout proposals (nil unless RediscretizeEvery or
+	// MonitorWindow is set). space is the layout in effect on all shards.
+	adapt        *adapt.Loop
+	rediscretize bool
+	space        Discretizer
+	cells        []Cell // released-cell scratch, reused across timestamps
+	t            int
 }
 
 // New constructs a Framework.
@@ -329,29 +330,8 @@ func New(opts Options) (*Framework, error) {
 			MetricsShard:     shard,
 		})
 	}
-	f := &Framework{space: space}
-	if opts.RediscretizeEvery > 0 {
-		if !relayout.Migratable(space) {
-			return nil, fmt.Errorf("retrasyn: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", space)
-		}
-		leaves := opts.RelayoutLeaves
-		if leaves == 0 {
-			leaves = space.NumCells()
-		}
-		ctl, err := relayout.NewController(relayout.ControllerOptions{
-			Every:     opts.RediscretizeEvery,
-			W:         opts.Window,
-			Threshold: opts.RelayoutThreshold,
-			Quadtree:  spatial.QuadtreeOptions{MaxLeaves: leaves},
-			Bounds:    space.Bounds(),
-			Trigger:   opts.TriggerPolicy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ctl.SetMetrics(opts.Metrics)
-		f.ctl = ctl
-	} else if opts.RediscretizeEvery < 0 {
+	f := &Framework{space: space, rediscretize: opts.RediscretizeEvery > 0}
+	if opts.RediscretizeEvery < 0 {
 		return nil, fmt.Errorf("retrasyn: RediscretizeEvery must be ≥ 0, got %d", opts.RediscretizeEvery)
 	}
 	if err := opts.TriggerPolicy.Validate(); err != nil {
@@ -360,23 +340,27 @@ func New(opts Options) (*Framework, error) {
 	if opts.MonitorWindow < 0 {
 		return nil, fmt.Errorf("retrasyn: MonitorWindow must be ≥ 0, got %d", opts.MonitorWindow)
 	}
-	if opts.MonitorWindow > 0 {
-		mon, err := monitor.New(monitor.Options{Window: opts.MonitorWindow})
-		if err != nil {
-			return nil, err
-		}
-		mon.SetMetrics(opts.Metrics)
-		f.mon = mon
-		if f.ctl != nil {
-			f.ctl.SetAlarmSource(mon)
-		}
-	}
 	if opts.TriggerPolicy.UsesAlarms() {
-		if f.ctl == nil {
+		if !f.rediscretize {
 			return nil, fmt.Errorf("retrasyn: TriggerPolicy %q requires RediscretizeEvery > 0", opts.TriggerPolicy)
 		}
-		if f.mon == nil {
+		if opts.MonitorWindow == 0 {
 			return nil, fmt.Errorf("retrasyn: TriggerPolicy %q requires MonitorWindow > 0 — the degradation trigger consumes the monitor's alarms", opts.TriggerPolicy)
+		}
+	}
+	if f.rediscretize || opts.MonitorWindow > 0 {
+		f.adapt, err = adapt.New(adapt.Config{
+			Space:         space,
+			W:             opts.Window,
+			Every:         opts.RediscretizeEvery,
+			Threshold:     opts.RelayoutThreshold,
+			Leaves:        opts.RelayoutLeaves,
+			Trigger:       opts.TriggerPolicy,
+			MonitorWindow: opts.MonitorWindow,
+			Metrics:       opts.Metrics,
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if opts.Shards > 1 {
@@ -458,99 +442,70 @@ func (f *Framework) ProcessTimestamp(events []Event, activeUsers int) error {
 		}
 		seen[ev.User] = struct{}{}
 	}
+	results := make([]core.StepResult, 1)
+	var err error
 	if f.coord != nil {
-		if _, err := f.coord.ProcessTimestamp(f.t, events, activeUsers); err != nil {
-			return err
-		}
-	} else if _, err := f.engine.ProcessTimestamp(f.t, events, activeUsers); err != nil {
+		results, err = f.coord.ProcessTimestamp(f.t, events, activeUsers)
+	} else {
+		results[0], err = f.engine.ProcessTimestamp(f.t, events, activeUsers)
+	}
+	if err != nil {
 		return err
 	}
 	t := f.t
 	f.t++
-	if f.ctl != nil || f.mon != nil {
-		if err := f.adaptLayout(t); err != nil {
-			return err
-		}
+	if f.adapt == nil {
+		return nil
 	}
-	return nil
-}
-
-// adaptLayout runs the post-timestamp observation loop: sketch the released
-// positions for the re-discretization controller and the utility monitor,
-// close the monitor's round (so the degradation trigger sees alarms that
-// include timestamp t), and at every rebuild boundary grow a fresh layout
-// from the sketch and migrate all shards when the trigger policy says to.
-func (f *Framework) adaptLayout(t int) error {
-	var pts []Point
+	r := adapt.Round{T: t, Space: f.space}
+	f.cells = f.cells[:0]
 	for _, e := range f.engines {
-		pts = e.ReleasedPositions(pts)
+		f.cells = e.ReleasedCells(f.cells)
 	}
-	if f.ctl != nil {
-		f.ctl.Observe(t, pts)
+	r.Cells = f.cells
+	if f.adapt.Monitor() != nil {
+		r.CellEst, r.SigRatio = f.cellEstimates(results)
 	}
-	f.observeMonitor(t, pts)
-	if f.ctl == nil || !f.ctl.Due(t) {
-		return nil
-	}
-	prop, err := f.ctl.Propose(f.space)
-	if err != nil {
+	// The facade counts no round errors: a failed timestamp returns to the
+	// caller before the loop runs.
+	if _, err := f.adapt.Step(r, f.Relayout); err != nil {
 		return fmt.Errorf("retrasyn: re-discretization after timestamp %d: %w", t, err)
 	}
-	if !prop.Switch {
-		return nil
-	}
-	if err := f.Relayout(prop.Target); err != nil {
-		return fmt.Errorf("retrasyn: re-discretization after timestamp %d: %w", t, err)
-	}
-	f.ctl.NoteSwitch(prop.Distance)
-	// The stationary level of the layout-dependent monitor signals moves
-	// with the discretization: re-learn their baselines on the new layout.
-	f.mon.NoteRelayout()
 	return nil
 }
 
-// observeMonitor feeds the utility monitor after timestamp t: the released
-// positions plus the shards' last reported DP estimates folded onto the
-// current layout (summed across shards — every shard runs the same layout,
-// so the per-cell masses align). Rounds where no shard reported at t are
-// closed without a divergence sample. The round closes against the sketch
-// *before* this timestamp's release is folded in — the synthesizer adapts
-// to the estimates within the round, so sketching first would dilute a
-// regime change with the already-adapted stream.
-func (f *Framework) observeMonitor(t int, pts []Point) {
-	if f.mon == nil {
-		return
-	}
+// cellEstimates folds the shards' DP estimates of one timestamp onto the
+// current layout's cells, summed across shards (every shard runs the same
+// layout, so the per-cell masses align), with the shards' mean
+// significance ratio. Both are zero when no shard reported.
+func (f *Framework) cellEstimates(results []core.StepResult) ([]float64, float64) {
 	var cellEst []float64
 	var sigSum float64
 	reported := 0
-	for _, e := range f.engines {
-		est, sig, lt, ok := e.LastReportedRound()
-		if !ok || lt != t {
+	for i, res := range results {
+		if res.Estimates == nil {
 			continue
 		}
-		masses := monitor.CellMasses(e.Domain(), est, nil)
+		masses := monitor.CellMasses(f.engines[i].Domain(), res.Estimates, nil)
 		if cellEst == nil {
 			cellEst = masses
 		} else {
-			for i := range cellEst {
-				cellEst[i] += masses[i]
+			for c := range cellEst {
+				cellEst[c] += masses[c]
 			}
 		}
-		sigSum += sig
+		sigSum += res.SigRatio
 		reported++
 	}
-	var sigRatio float64
-	if reported > 0 {
-		sigRatio = sigSum / float64(reported)
+	if reported == 0 {
+		return nil, 0
 	}
-	f.mon.Round(t, f.space, cellEst, sigRatio, 0)
-	f.mon.ObserveRelease(t, pts)
+	return cellEst, sigSum / float64(reported)
 }
 
 // Health returns the utility monitor's structured verdict. Without a
 // monitor (Options.MonitorWindow == 0) it reports "ok" with no signals.
-func (f *Framework) Health() Health { return f.mon.Health() }
+func (f *Framework) Health() Health { return f.adapt.Monitor().Health() }
 
 // Relayout migrates the framework — every engine shard, atomically between
 // timestamps — onto a new spatial discretization, resampling all live state
@@ -605,7 +560,7 @@ func (f *Framework) Run(orig *Dataset) (*Dataset, RunStats, error) {
 	if f.t != 0 {
 		return nil, RunStats{}, fmt.Errorf("retrasyn: Run on a framework that already processed %d timestamps", f.t)
 	}
-	if f.ctl != nil {
+	if f.rediscretize {
 		return nil, RunStats{}, fmt.Errorf("retrasyn: Run replays pre-discretized events, whose cell indices go stale when the layout migrates — use RunAdaptive with the raw stream when RediscretizeEvery is enabled")
 	}
 	stream := trajectory.NewStream(orig)
@@ -633,7 +588,7 @@ func (f *Framework) Run(orig *Dataset) (*Dataset, RunStats, error) {
 // report, exactly as an out-of-domain transition behaves in the streaming
 // API. Requires Options.RediscretizeEvery > 0.
 func (f *Framework) RunAdaptive(raw *RawDataset) (*Dataset, RunStats, error) {
-	if f.ctl == nil {
+	if !f.rediscretize {
 		return nil, RunStats{}, fmt.Errorf("retrasyn: RunAdaptive requires Options.RediscretizeEvery > 0 — use Run for frozen layouts")
 	}
 	if f.t != 0 {
@@ -684,8 +639,8 @@ type Checkpoint struct {
 // is a deep copy that later processing never mutates.
 func (f *Framework) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{Version: CheckpointVersion, T: f.t, Shards: 1}
-	if f.ctl != nil {
-		st := f.ctl.State()
+	if f.rediscretize {
+		st := f.adapt.Controller().State()
 		cp.Relayout = &st
 	}
 	if f.coord != nil {
@@ -733,8 +688,8 @@ func Restore(opts Options, cp *Checkpoint) (*Framework, error) {
 	} else if err := f.engine.RestoreState(cp.States[0]); err != nil {
 		return nil, err
 	}
-	if f.ctl != nil && cp.Relayout != nil {
-		if err := f.ctl.Restore(*cp.Relayout); err != nil {
+	if f.rediscretize && cp.Relayout != nil {
+		if err := f.adapt.Controller().Restore(*cp.Relayout); err != nil {
 			return nil, err
 		}
 	}
